@@ -3,9 +3,10 @@
 Drives the full serving path over a small LR model at batch sizes 1, 8
 and 32 on one synthetic workload and reports requests/s plus p50/p99
 response latency (from each response's own ``latency_ms``).  Batch 1
-uses the classic sequential ``predict`` path — exactly what serving did
-before micro-batching — so ``speedup_32`` is the honest "what did
-coalescing buy" number.  Scores are bit-for-bit identical across batch
+calls ``predict`` once per request — a batch of one through the
+service's single scoring pipeline, which is what ``--batch-size 1``
+serves — so ``speedup_32`` is the honest "what did coalescing buy"
+number.  Scores are bit-for-bit identical across batch
 sizes (the differential suite pins that); this benchmark pins the *win*.
 
 The headline metric is *relative* (requests/s at batch 32 over batch 1),

@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "exceeds this")
     serve.add_argument("--batch-size", type=int, default=1,
                        help="micro-batching: max requests coalesced into one "
-                            "scoring call (1 = classic single-request path; "
-                            "scores are bit-for-bit identical either way)")
+                            "scoring call (1 = never coalesce; every size "
+                            "runs the same path and scores bit-for-bit "
+                            "identically)")
     serve.add_argument("--batch-wait-ms", type=float, default=0.0,
                        help="micro-batching: how long the first request in a "
                             "forming batch may wait for company (0 only "
@@ -260,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "crash:N (hard-exit after N requests); "
                             "repeatable (pool mode targets replica 0)")
     serve.add_argument("--replicas", type=int, default=1,
-                       help="replica pool size (1 = classic single-instance "
-                            "stack; >1 adds health-checked failover, hedged "
-                            "requests and canary checkpoint rollout)")
+                       help="replica pool size (1 = one service with a hot "
+                            "reloader; >1 adds health-checked failover, "
+                            "hedged requests (single-request batches) and "
+                            "canary checkpoint rollout)")
     serve.add_argument("--min-healthy", type=int, default=1,
                        help="pool mode: quarantine/canary never drop the "
                             "healthy replica count below this floor")

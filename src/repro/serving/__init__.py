@@ -22,8 +22,8 @@ answer inside its deadline**.  Six cooperating pieces:
 * :mod:`repro.serving.faults` — serving-side fault injectors mirroring
   :mod:`repro.resilience.faults`, driving the chaos suite.
 * :mod:`repro.serving.batching` — micro-batching: coalesce queued
-  requests into one scoring call, bit-for-bit equal to sequential
-  single-request scoring.
+  requests into one scoring call; both transports always run it, and
+  scores are bit-for-bit equal at every batch size.
 * :mod:`repro.serving.replica` — high availability: a pool of
   independently-health-checked replicas behind least-inflight routing,
   quarantined restart with full-jitter backoff, and hedged requests.

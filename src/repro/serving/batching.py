@@ -18,8 +18,9 @@ requests off the queue and coalescing them under a two-knob policy:
     by the service).  ``0`` coalesces only what is already queued —
     zero added latency.
 
-``max_batch_size=1`` reproduces single-request serving exactly (and the
-service's scoring is bit-for-bit identical either way — see
+Both transports always drain their queue through a batcher;
+``max_batch_size=1`` is just the smallest batch (and the service's
+scoring is bit-for-bit identical at every size — see
 ``docs/serving.md``).  The clock is injectable so the flush policy is
 testable without sleeping.
 """

@@ -71,8 +71,9 @@ class GoldenSet:
 
         Golden requests are fixed for the set's lifetime, so
         re-validating them on every reload poll is pure overhead; the
-        cached row also rides ``_build_batch``'s ``pre_validated`` fast
-        path, skipping the cross transform's id-range re-scan.
+        cached row also rides the ``pre_validated`` fast path of
+        ``_build_batch_rows``, skipping the cross transform's id-range
+        re-scan.
         """
         row = self._row_cache.get(i)
         if row is None:
@@ -87,7 +88,8 @@ class GoldenSet:
         for i in range(len(self.requests)):
             try:
                 row = self._validated_row(service, i)
-                batch = service._build_batch(row, model, pre_validated=True)
+                batch = service._build_batch_rows(row[None, :], model,
+                                                 pre_validated=True)
                 probability = float(model.predict_proba(batch)[0])
             except Exception as exc:  # noqa: BLE001 — any failure vetoes
                 return f"golden request {i} failed to score: {exc}"
@@ -112,7 +114,8 @@ class GoldenSet:
         for i in range(len(golden.requests)):
             try:
                 row = golden._validated_row(service, i)
-                batch = service._build_batch(row, model, pre_validated=True)
+                batch = service._build_batch_rows(row[None, :], model,
+                                                 pre_validated=True)
                 expected.append(float(model.predict_proba(batch)[0]))
             except Exception:
                 expected.append(None)

@@ -528,7 +528,8 @@ class ReplicaPool:
                       ) -> List[PredictionResponse]:
         """Route a coalesced batch to one replica (single model/version
         snapshot, so a batch can never mix versions), with one failover
-        retry on another healthy replica before degrading."""
+        retry on another healthy replica before degrading.  A batch of
+        one goes through the hedged :meth:`predict` instead."""
         if len(self._replicas) == 1:
             return self._replicas[0].service.predict_batch(requests)
         started = self._clock()
@@ -536,6 +537,11 @@ class ReplicaPool:
                 for r in requests]
         if not reqs:
             return []
+        if len(reqs) == 1:
+            (req,) = reqs
+            return [self.predict(req.features, deadline_s=req.deadline_s,
+                                 request_id=req.request_id,
+                                 queued_at=req.queued_at)]
         tried: List[int] = []
         with self.tracer.span("serve.dispatch",
                               batch_size=len(reqs)) as span:

@@ -102,7 +102,7 @@ class ServingStack:
     def poll_inline(self) -> None:
         """Drive background work inline when no threads are running.
 
-        The stdio transport calls this between requests so single-
+        The stdio transport calls this before each batch so single-
         threaded tests stay deterministic (same contract as the old
         ``reloader.poll_once()`` inline path).
         """
@@ -152,13 +152,17 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     equal configs yield identical schemas, vocabularies and cross
     cardinalities.
 
-    ``replicas=1`` (the default) builds the classic single-instance
-    stack with a :class:`HotReloader`.  ``replicas > 1`` builds a
+    ``replicas=1`` (the default) builds one :class:`PredictionService`
+    with a :class:`HotReloader`.  ``replicas > 1`` builds a
     :class:`ReplicaPool` (one model / breaker / metrics / drift monitor
     per replica) and, when a checkpoint directory is watched, a
     :class:`CanaryController` instead of the reloader: new checkpoints
     are staged on one canary replica against mirrored live traffic and
     promoted or rolled back automatically.
+
+    Either way the transports hand the stack batches from a
+    :class:`MicroBatcher`; a batch of one is the same path as any other
+    size (the pool hedges it like a single :meth:`ReplicaPool.predict`).
     """
     from ..experiments import default_config, prepare_dataset
     from ..experiments.runner import _build_plain_model
@@ -461,7 +465,7 @@ def handle_request_lines(lines: List[str], service: PredictionService,
     unparseable ones) are handled inline, flushing the pending scoring
     run first so responses keep input order.  One response dict per
     input line (``{}`` for blank lines); lines after a shutdown op are
-    left unanswered, exactly like the sequential loop.
+    left unanswered.
     """
     if queued_ats is None:
         queued_ats = [None] * len(lines)
@@ -534,48 +538,17 @@ def serve_stdio(stack: ServingStack, stdin=None, stdout=None, *,
                 batch_size: int = 1, batch_wait_ms: float = 0.0) -> int:
     """Blocking stdin/stdout JSONL loop.
 
-    ``batch_size=1`` (the default) is the classic sequential loop.  With
-    ``batch_size > 1`` a reader thread feeds a queue drained by a
-    :class:`MicroBatcher`, so pipelined clients get coalesced scoring —
-    responses still come back one per request line, in input order.
-    """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    stack.start_background()
-    print(json.dumps({"status": "ready",
-                      "model": stack.model_name,
-                      "dataset": stack.dataset,
-                      "notes": stack.notes}), file=stdout, flush=True)
-    try:
-        if batch_size <= 1:
-            for line in stdin:
-                queued_at = stack.service.tracer.clock()
-                stack.poll_inline()
-                response, shutdown = handle_request_line(line, stack.service,
-                                                         queued_at=queued_at)
-                if response:
-                    print(json.dumps(response), file=stdout, flush=True)
-                if shutdown:
-                    break
-        else:
-            _serve_stdio_batched(stack, stdin, stdout,
-                                 batch_size=batch_size,
-                                 batch_wait_ms=batch_wait_ms)
-    finally:
-        stack.stop_background()
-    return 0
-
-
-def _serve_stdio_batched(stack: ServingStack, stdin, stdout, *,
-                         batch_size: int, batch_wait_ms: float) -> None:
-    """Reader thread → FIFO queue → MicroBatcher → ordered responses.
+    A reader thread feeds a queue drained by a :class:`MicroBatcher`, so
+    pipelined clients get coalesced scoring of up to ``batch_size``
+    requests (``1`` is just the smallest batch, not a separate path).
+    Responses come back one per request line, in input order.
 
     The queue is deliberately deep and fed at priority 0 only: stdio has
     no shedding contract — a full queue is pure backpressure (the reader
     retries, which simply stops consuming stdin), never a drop.
     """
-    import time as _time
-
+    stdin = stdin if stdin is not None else sys.stdin
+    stdout = stdout if stdout is not None else sys.stdout
     queue = BoundedRequestQueue(max_depth=max(1024, batch_size * 64))
 
     def _read() -> None:
@@ -585,35 +558,41 @@ def _serve_stdio_batched(stack: ServingStack, stdin, stdout, *,
                     continue
                 item = (line, stack.service.tracer.clock())
                 while not queue.put(item):
-                    _time.sleep(0.005)
+                    _time_module.sleep(0.005)
         except (OSError, ValueError, RuntimeError):
             pass  # closed pipe or closed queue — drain what we have
         finally:
-            try:
-                queue.close()
-            except RuntimeError:
-                pass
+            queue.close()
 
+    stack.start_background()
+    print(json.dumps({"status": "ready",
+                      "model": stack.model_name,
+                      "dataset": stack.dataset,
+                      "notes": stack.notes}), file=stdout, flush=True)
     reader = threading.Thread(target=_read, name="stdio-reader", daemon=True)
     reader.start()
     batcher = MicroBatcher(queue, max_batch_size=batch_size,
                            max_wait_ms=batch_wait_ms)
-    while True:
-        items = batcher.next_batch(timeout=0.2)
-        if items is None:
-            if not reader.is_alive() and len(queue) == 0:
-                return
-            continue
-        stack.poll_inline()
-        lines = [line for line, _ in items]
-        queued = [queued_at for _, queued_at in items]
-        responses, shutdown = handle_request_lines(lines, stack.service,
-                                                   queued_ats=queued)
-        for response in responses:
-            if response:
-                print(json.dumps(response), file=stdout, flush=True)
-        if shutdown:
-            return
+    try:
+        while True:
+            items = batcher.next_batch(timeout=0.2)
+            if items is None:
+                if not reader.is_alive() and len(queue) == 0:
+                    break
+                continue
+            stack.poll_inline()
+            lines = [line for line, _ in items]
+            queued = [queued_at for _, queued_at in items]
+            responses, shutdown = handle_request_lines(lines, stack.service,
+                                                       queued_ats=queued)
+            for response in responses:
+                if response:
+                    print(json.dumps(response), file=stdout, flush=True)
+            if shutdown:
+                break
+    finally:
+        stack.stop_background()
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -676,29 +655,6 @@ class SocketServer:
         write(response.as_dict())
 
     def _worker(self) -> None:
-        if self.batch_size > 1:
-            return self._batch_worker()
-        while True:
-            item = self.queue.get(timeout=0.2)
-            if item is None:
-                if self._stop.is_set():
-                    return
-                continue
-            write, line, _request_id, queued_at = item
-            try:
-                try:
-                    response, _shutdown = handle_request_line(
-                        line, self.service, queued_at=queued_at)
-                except Exception as exc:  # noqa: BLE001 — workers survive
-                    response = {"status": "error",
-                                "error": {"code": "internal",
-                                          "message": str(exc)}}
-                if response:
-                    write(response)
-            finally:
-                self._pending_dec()
-
-    def _batch_worker(self) -> None:
         """Worker loop coalescing queue entries via :class:`MicroBatcher`.
 
         Probes never reach the queue (readers answer them directly), so

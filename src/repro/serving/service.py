@@ -27,6 +27,7 @@ model they started with.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -208,25 +209,13 @@ class PredictionService:
     # ------------------------------------------------------------------
     # Scoring internals
     # ------------------------------------------------------------------
-    def _build_batch(self, row: np.ndarray, model: CTRModel, *,
-                     pre_validated: bool = False) -> Batch:
-        x = row.reshape(1, -1)
-        x_cross = None
-        if model.needs_cross:
-            if self.cross_transform is None:
-                raise ModelUnavailableError(
-                    "model needs cross features but none are configured")
-            x_cross = self.cross_transform.transform(
-                x, assume_valid=pre_validated)
-        return Batch(x=x, x_cross=x_cross, y=np.zeros(1))
-
     def _build_batch_rows(self, rows: np.ndarray, model: CTRModel, *,
                           pre_validated: bool = False) -> Batch:
         """One coalesced :class:`Batch` from ``[n, M]`` validated rows.
 
         The cross transform is integer arithmetic applied row by row, so
-        transforming the stacked matrix yields exactly the rows the
-        single-request path computes — the differential suite pins this.
+        transforming the stacked matrix yields exactly the rows a batch
+        of one computes — the differential suite pins this.
         """
         x_cross = None
         if model.needs_cross:
@@ -236,17 +225,6 @@ class PredictionService:
             x_cross = self.cross_transform.transform(
                 rows, assume_valid=pre_validated)
         return Batch(x=rows, x_cross=x_cross, y=np.zeros(len(rows)))
-
-    def _score_full(self, model: CTRModel, batch: Batch) -> float:
-        started = self._clock()
-        try:
-            probability = float(model.predict_proba(batch)[0])
-        finally:
-            self.latency.observe(self._clock() - started)
-        if not np.isfinite(probability):
-            raise ValueError(f"model produced a non-finite probability "
-                             f"{probability!r}")
-        return probability
 
     def _finish(self, response: PredictionResponse, started: float,
                 deadline_s: Optional[float]) -> PredictionResponse:
@@ -289,6 +267,10 @@ class PredictionService:
                 queued_at: Optional[float] = None) -> PredictionResponse:
         """Answer one request; never raises for per-request faults.
 
+        A request is a batch of one: it runs the same pipeline as
+        :meth:`predict_batch`, under a ``serve.request`` root span
+        instead of ``serve.batch``.
+
         ``queued_at`` is a timestamp on the *tracer's* clock taken when
         the transport accepted the request; when given, the time spent
         waiting before ``predict`` ran becomes a retroactive
@@ -296,107 +278,15 @@ class PredictionService:
         """
         with self.tracer.span("serve.request",
                               request_id=request_id) as span:
-            if queued_at is not None:
-                now = self.tracer.clock()
-                self.tracer.record(
-                    "serve.queue", start=queued_at,
-                    duration_s=max(now - queued_at, 0.0), parent=span,
-                    request_id=request_id)
-            response = self._predict(features, deadline_s=deadline_s,
-                                     request_id=request_id)
+            (response,) = self._predict_batch([BatchRequest(
+                features, deadline_s=deadline_s, request_id=request_id,
+                queued_at=queued_at)], span)
             span.set_attr("status", response.status)
             if response.served_by is not None:
                 span.set_attr("served_by", response.served_by)
             if response.degraded_reason is not None:
                 span.set_attr("degraded_reason", response.degraded_reason)
         return response
-
-    def _predict(self, features: Any, *,
-                 deadline_s: Optional[float],
-                 request_id: Optional[str]) -> PredictionResponse:
-        started = self._clock()
-        if deadline_s is None:
-            deadline_s = self.deadline_s
-        with self._model_lock:
-            model = self._model
-            version = self._model_version
-
-        # 1. Validate — a malformed request is the client's fault and is
-        #    reported field by field, not degraded around.
-        with self.tracer.span("serve.validate") as vspan:
-            try:
-                row = self.validator.validate(features)
-            except InvalidRequestError as exc:
-                vspan.set_attr("valid", False)
-                return self._finish(PredictionResponse(
-                    status=STATUS_INVALID, request_id=request_id,
-                    model_version=version, error=exc.as_payload()),
-                    started, deadline_s)
-            vspan.set_attr("valid", True)
-
-        def degraded(reason: str, model=None,
-                     batch=None) -> PredictionResponse:
-            with self.tracer.span("serve.degrade", reason=reason) as dspan:
-                probability, level = self.ladder.fallback(
-                    model, batch, reason=reason, request_id=request_id)
-                dspan.set_attr("level", level)
-            self._observe_drift(row, None)
-            return self._finish(PredictionResponse(
-                status=STATUS_DEGRADED, probability=probability,
-                served_by=level, model_version=version,
-                request_id=request_id, degraded_reason=reason),
-                started, deadline_s)
-
-        if model is None:
-            # Not ready yet: the ladder still owes the caller a number.
-            return degraded("model_unavailable")
-
-        # 2. Build the model input (cross features included).  A failure
-        #    here is a scoring failure, not a client error.
-        try:
-            batch = self._build_batch(row, model, pre_validated=True)
-        except Exception:
-            self.breaker.record_failure()
-            self.metrics.counter("serve.model_errors").inc()
-            return degraded("feature_error")
-
-        main_effects_batch = Batch(x=batch.x, x_cross=None, y=batch.y)
-
-        # 3. Circuit breaker: an open circuit answers degraded without
-        #    spending latency on a model that is currently failing.
-        if not self.breaker.allow():
-            return degraded("breaker_open", model, main_effects_batch)
-
-        # 4. Deadline pre-check: don't start a scoring we estimate can't
-        #    finish inside the remaining budget.
-        if deadline_s is not None:
-            remaining = deadline_s - (self._clock() - started)
-            if remaining <= self.latency():
-                self.metrics.counter("serve.deadline_misses").inc()
-                self.breaker.record_failure()
-                return degraded("deadline", model, main_effects_batch)
-
-        # 5. Score.  Failures and late finishes feed the breaker.
-        with self.tracer.span("serve.score",
-                              model_version=version) as sspan:
-            try:
-                probability = self._score_full(model, batch)
-            except Exception as exc:
-                sspan.mark_error(exc)
-                self.breaker.record_failure()
-                self.metrics.counter("serve.model_errors").inc()
-                return degraded("model_error", model, main_effects_batch)
-        if (deadline_s is not None
-                and self._clock() - started > deadline_s):
-            self.metrics.counter("serve.deadline_misses").inc()
-            self.breaker.record_failure()
-            return degraded("deadline", model, main_effects_batch)
-        self.breaker.record_success()
-        self._observe_drift(row, probability)
-        return self._finish(PredictionResponse(
-            status=STATUS_OK, probability=probability,
-            served_by=LEVEL_FULL, model_version=version,
-            request_id=request_id), started, deadline_s)
 
     def predict_batch(self, requests: Sequence[Union["BatchRequest", Any]]
                       ) -> List[PredictionResponse]:
@@ -410,11 +300,11 @@ class PredictionService:
         answer from the ladder, and nothing here raises for per-request
         faults.
 
-        Equivalence guarantee (pinned by the differential suite): for a
+        Batch-size invariance (pinned by the differential suite): for a
         service in a deterministic state — breaker closed or open, model
         loaded or not — the ``status`` / ``probability`` (bitwise) /
-        ``served_by`` / ``error`` fields equal what sequential
-        :meth:`predict` calls produce, at every batch size.  Scoring
+        ``served_by`` / ``error`` fields equal what one :meth:`predict`
+        call per request produces, at every batch size.  Scoring
         happens under :class:`~repro.nn.tensor.rowwise_matmul` so each
         row's floating-point path is identical to a batch of one.
 
@@ -436,14 +326,21 @@ class PredictionService:
         return responses
 
     def _predict_batch(self, reqs: List["BatchRequest"],
-                       bspan) -> List[PredictionResponse]:
+                       span) -> List[PredictionResponse]:
+        """The one scoring pipeline: validate → build cross features →
+        breaker → deadline → score.  ``span`` parents the retroactive
+        ``serve.queue`` spans.  Each request's deadline is resolved once
+        here; the caller's :class:`BatchRequest` objects are never
+        mutated (the replica pool re-sends them on failover)."""
         started = self._clock()
+        deadlines = [self.deadline_s if req.deadline_s is None
+                     else req.deadline_s for req in reqs]
         now = self.tracer.clock()
         for req in reqs:
             if req.queued_at is not None:
                 self.tracer.record(
                     "serve.queue", start=req.queued_at,
-                    duration_s=max(now - req.queued_at, 0.0), parent=bspan,
+                    duration_s=max(now - req.queued_at, 0.0), parent=span,
                     request_id=req.request_id)
         with self._model_lock:
             model = self._model
@@ -465,14 +362,17 @@ class PredictionService:
                     responses[i] = self._finish(PredictionResponse(
                         status=STATUS_INVALID, request_id=req.request_id,
                         model_version=version, error=exc.as_payload()),
-                        started, req.deadline_s)
-            vspan.set_attr("invalid", len(reqs) - len(valid_indices))
+                        started, deadlines[i])
+            invalid = len(reqs) - len(valid_indices)
+            vspan.set_attr("invalid", invalid)
+            vspan.set_attr("valid", invalid == 0)
 
         row_of = {i: pos for pos, i in enumerate(valid_indices)}
 
         def degraded(i: int, reason: str, with_model: bool = False) -> None:
             """Ladder answer for request ``i`` — per-row batches so the
-            fallback's floating-point path matches sequential predict."""
+            fallback's floating-point path is the same at every batch
+            size."""
             req = reqs[i]
             row = rows[row_of[i]]
             fallback_model = model if with_model else None
@@ -488,10 +388,10 @@ class PredictionService:
                 status=STATUS_DEGRADED, probability=probability,
                 served_by=level, model_version=version,
                 request_id=req.request_id, degraded_reason=reason),
-                started, req.deadline_s)
+                started, deadlines[i])
 
         if not valid_indices:
-            return [r for r in responses if r is not None]
+            return list(responses)
 
         if model is None:
             for i in valid_indices:
@@ -500,9 +400,8 @@ class PredictionService:
 
         # 2. Build the single coalesced batch (cross features included).
         #    A failure here is one scoring failure for the whole batch.
-        stacked = np.stack(rows)
         try:
-            batch = self._build_batch_rows(stacked, model,
+            batch = self._build_batch_rows(np.stack(rows), model,
                                            pre_validated=True)
         except Exception:
             self.breaker.record_failure()
@@ -522,11 +421,8 @@ class PredictionService:
         to_score: List[int] = []
         estimate = self.latency()
         for i in valid_indices:
-            deadline_s = (reqs[i].deadline_s if reqs[i].deadline_s is not None
-                          else self.deadline_s)
-            reqs[i].deadline_s = deadline_s
-            if deadline_s is not None:
-                remaining = deadline_s - (self._clock() - started)
+            if deadlines[i] is not None:
+                remaining = deadlines[i] - (self._clock() - started)
                 if remaining <= estimate:
                     self.metrics.counter("serve.deadline_misses").inc()
                     self.breaker.record_failure()
@@ -568,32 +464,31 @@ class PredictionService:
         self.latency.observe(self._clock() - scoring_started)
 
         # 6. Fan the answers back out with per-request bookkeeping.
-        batch_failed = False
+        batch_failed = scored_ok = False
         for pos, i in enumerate(to_score):
             req = reqs[i]
             probability = float(probabilities[pos])
-            if not np.isfinite(probability):
+            if not math.isfinite(probability):
                 batch_failed = True
                 self.metrics.counter("serve.model_errors").inc()
                 degraded(i, "model_error", with_model=True)
                 continue
-            if (req.deadline_s is not None
-                    and self._clock() - started > req.deadline_s):
+            if (deadlines[i] is not None
+                    and self._clock() - started > deadlines[i]):
                 self.metrics.counter("serve.deadline_misses").inc()
                 self.breaker.record_failure()
                 degraded(i, "deadline", with_model=True)
                 continue
-            row = rows[row_of[i]]
-            self._observe_drift(row, probability)
+            scored_ok = True
+            self._observe_drift(rows[row_of[i]], probability)
             responses[i] = self._finish(PredictionResponse(
                 status=STATUS_OK, probability=probability,
                 served_by=LEVEL_FULL, model_version=version,
-                request_id=req.request_id), started, req.deadline_s)
+                request_id=req.request_id), started, deadlines[i])
         if batch_failed:
             # Non-finite rows are one scoring failure for the batch.
             self.breaker.record_failure()
-        elif any(responses[i] is not None
-                 and responses[i].status == STATUS_OK for i in to_score):
+        elif scored_ok:
             self.breaker.record_success()
         return list(responses)
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.models.shallow import LogisticRegression
-from repro.serving import (REPLICA_HEALTHY, REPLICA_UNHEALTHY, ReplicaPool,
-                           RestartBackoff)
+from repro.serving import (REPLICA_HEALTHY, REPLICA_UNHEALTHY, BatchRequest,
+                           ReplicaPool, RestartBackoff)
 from repro.serving.faults import (SlowModel, WedgedModel, slow_replica,
                                   wedge_replica)
 
@@ -179,6 +179,31 @@ class TestHedging:
         assert elapsed < 0.45  # did not wait for the slow primary
         assert pool.metrics.counter("pool.hedges").value == 1
         assert pool.metrics.counter("pool.hedge_wins").value == 1
+
+    def test_batch_of_one_is_hedged(self, make_pool):
+        """Transports at --batch-size 1 send one-request batches; those
+        must keep the single-request hedging behaviour."""
+        pool = make_pool(n=2, hedge_ms=10.0, dispatch_timeout_s=5.0)
+        slow_replica(pool.replicas[0], delay_s=0.5)
+        started = time.monotonic()
+        (response,) = pool.predict_batch([BatchRequest(REQ, request_id="h")])
+        assert time.monotonic() - started < 0.45
+        assert response.status == "ok"
+        assert response.request_id == "h"
+        assert pool.metrics.counter("pool.hedges").value == 1
+        assert pool.metrics.counter("pool.hedge_wins").value == 1
+        fast = pool.replicas[1].service
+        assert fast.metrics.counter("serve.ok").value == 1
+
+    def test_larger_batch_fails_over_instead_of_hedging(self, make_pool):
+        pool = make_pool(n=2, hedge_ms=10.0, dispatch_timeout_s=0.5)
+        slow_replica(pool.replicas[0], delay_s=1.5)
+        started = time.monotonic()
+        responses = pool.predict_batch([REQ] * 4)
+        assert time.monotonic() - started >= 0.45  # waited out the timeout
+        assert [r.status for r in responses] == ["ok"] * 4
+        assert pool.metrics.counter("pool.failovers").value == 1
+        assert pool.metrics.counter("pool.hedges").value == 0
 
     def test_fast_primary_needs_no_hedge(self, make_pool):
         pool = make_pool(n=2, hedge_ms=200.0)
